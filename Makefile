@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
+.PHONY: build test vet race bench benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos ci
 
 TARGETS    := r2000 r2000s m88000 i860 rs6000 toyp
 STRATEGIES := naive postpass ips rase local
@@ -31,6 +31,14 @@ bench:
 # without paying for real measurement.
 benchsmoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
+
+# Benchmark-module check: perfbench is its own module built against the
+# root packages, so vet and test it here — a root API change that would
+# break the benchmark fails CI instead of the next benchmark run. (Not
+# `go build`, which would drop a binary into perfbench/.)
+benchcheck:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Compilation-cache smoke: one cold/warm Livermore pass per strategy at
 # a single worker count; byte-identical warm output and a full hit rate
@@ -92,4 +100,4 @@ tracesmoke:
 chaos:
 	$(GO) run ./cmd/marionstats -faultmatrix
 
-ci: build vet test race benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos
+ci: build vet test race benchcheck benchsmoke cachesmoke loadsmoke brownoutsmoke tracesmoke verify-all chaos

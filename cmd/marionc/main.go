@@ -63,6 +63,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -83,6 +84,7 @@ import (
 	"marion/internal/overload"
 	"marion/internal/pipeline"
 	"marion/internal/strategy"
+	"marion/internal/targets"
 	"marion/internal/trace"
 	"marion/internal/verify"
 )
@@ -148,14 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	isIL := strings.HasSuffix(file, ".il")
 	if *emitIL {
-		var mod *ir.Module
-		if isIL {
-			mod, err = iltext.Parse(file, string(src)) // normalizing re-print
-		} else {
-			mod, err = driver.Frontend(file, string(src))
-		}
+		mod, err := lower(file, string(src)) // IL input: a normalizing re-print
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -193,10 +189,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gen.Span = root
 	}
 	var res *core.Result
-	if isIL {
-		res, err = gen.CompileIL(file, string(src))
-	} else {
-		res, err = gen.Compile(file, string(src))
+	mod, err := lower(file, string(src))
+	if err == nil {
+		res, err = gen.CompileModule(context.Background(), mod)
 	}
 	dumpTrace(stderr, root, err)
 	if err != nil {
@@ -234,6 +229,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// lower turns a source file into an IL module: textual IL for .il
+// files, the C front end for everything else.
+func lower(file, src string) (*ir.Module, error) {
+	if strings.HasSuffix(file, ".il") {
+		return iltext.Parse(file, src)
+	}
+	return driver.Frontend(file, src)
+}
+
 // runReplay compiles a quarantine bundle (internal/overload) under its
 // recorded target, strategy, and options. Flags the user set explicitly
 // override the recording, so a bundle can be minimized interactively.
@@ -260,8 +264,8 @@ func runReplay(fs *flag.FlagSet, dir string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "marionc:", err)
 		return 2
 	}
+	target := str("target", b.Target)
 	cfg := driver.Config{
-		Target:       str("target", b.Target),
 		Strategy:     kind,
 		LinearSelect: b.Options.LinearSelect,
 		Verify:       b.Options.Verify || set["verify"],
@@ -281,8 +285,16 @@ func runReplay(fs *flag.FlagSet, dir string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stderr, "marionc: replaying %s: %s/%s after %d failure(s): %s\n",
-		dir, cfg.Target, cfg.Strategy, b.Failures, b.Reason)
-	res, err := driver.CompileIL(filepath.Join(dir, overload.ILFile), il, cfg)
+		dir, target, cfg.Strategy, b.Failures, b.Reason)
+	m, err := targets.Load(target)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	mod, err := lower(filepath.Join(dir, overload.ILFile), il)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	res, err := driver.CompileModule(m, mod, cfg)
 	if err != nil {
 		return fail(stderr, err)
 	}

@@ -13,11 +13,8 @@ import (
 
 	"marion/internal/asm"
 	"marion/internal/cache"
-	"marion/internal/cc"
 	"marion/internal/driver"
 	"marion/internal/faults"
-	"marion/internal/ilgen"
-	"marion/internal/iltext"
 	"marion/internal/ir"
 	"marion/internal/mach"
 	"marion/internal/maril"
@@ -47,16 +44,19 @@ func Targets() []string { return targets.Names() }
 // CodeGenerator is a constructed code generator: machine tables derived
 // from a description plus a strategy.
 //
+// A CodeGenerator has exactly two compile methods: Compile for C source
+// and CompileModule (context-taking) for an already-lowered module.
+//
 // A CodeGenerator is safe for concurrent use: once its fields are set,
-// any number of goroutines may call Compile, CompileIL, CompileModule
-// and their Ctx variants on the same generator. The shared state is all
-// either immutable after construction (Machine is finalized once and
-// never written by compilation; the configuration fields are read-only
-// during a compile) or internally synchronized (Cache and the metrics
-// registry are lock-striped/atomic). Each compilation builds its own
-// module, program and statistics, and the per-function worker pool is
-// per-call. The one rule: do not mutate the exported fields while
-// compiles are in flight — reconfigure by building a new generator.
+// any number of goroutines may call Compile and CompileModule on the
+// same generator. The shared state is all either immutable after
+// construction (Machine is finalized once and never written by
+// compilation; the configuration fields are read-only during a compile)
+// or internally synchronized (Cache and the metrics registry are
+// lock-striped/atomic). Each compilation builds its own module, program
+// and statistics, and the per-function worker pool is per-call. The one
+// rule: do not mutate the exported fields while compiles are in flight
+// — reconfigure by building a new generator.
 type CodeGenerator struct {
 	Machine  *mach.Machine
 	Strategy Strategy
@@ -122,47 +122,19 @@ type Result struct {
 
 // Compile compiles C-subset source text.
 func (g *CodeGenerator) Compile(filename, source string) (*Result, error) {
-	return g.CompileCtx(context.Background(), filename, source)
-}
-
-// CompileCtx is Compile with cancellation: the context propagates
-// through the pipeline into the scheduler and allocator cycle loops, so
-// an HTTP request deadline (or any caller cancellation) interrupts the
-// back end instead of hanging behind it.
-func (g *CodeGenerator) CompileCtx(ctx context.Context, filename, source string) (*Result, error) {
-	file, err := cc.Compile(filename, source)
+	mod, err := driver.Frontend(filename, source)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := ilgen.Lower(file)
-	if err != nil {
-		return nil, err
-	}
-	return g.CompileModuleCtx(ctx, mod)
+	return g.CompileModule(context.Background(), mod)
 }
 
-// CompileIL compiles textual IL (see internal/iltext), bypassing the C
-// front end — the direct route for other front ends.
-func (g *CodeGenerator) CompileIL(filename, source string) (*Result, error) {
-	return g.CompileILCtx(context.Background(), filename, source)
-}
-
-// CompileILCtx is CompileIL with cancellation.
-func (g *CodeGenerator) CompileILCtx(ctx context.Context, filename, source string) (*Result, error) {
-	mod, err := iltext.Parse(filename, source)
-	if err != nil {
-		return nil, err
-	}
-	return g.CompileModuleCtx(ctx, mod)
-}
-
-// CompileModule compiles an already-lowered IL module.
-func (g *CodeGenerator) CompileModule(mod *ir.Module) (*Result, error) {
-	return g.CompileModuleCtx(context.Background(), mod)
-}
-
-// CompileModuleCtx is CompileModule with cancellation.
-func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*Result, error) {
+// CompileModule compiles an already-lowered IL module — the entry for
+// other front ends (textual IL arrives through iltext.Parse). The
+// context propagates through the pipeline into the scheduler and
+// allocator cycle loops, so an HTTP request deadline (or any caller
+// cancellation) interrupts the back end instead of hanging behind it.
+func (g *CodeGenerator) CompileModule(ctx context.Context, mod *ir.Module) (*Result, error) {
 	c, err := driver.CompileModuleCtx(ctx, g.Machine, mod, driver.Config{
 		Strategy: g.Strategy, Options: g.Options, Workers: g.Workers,
 		Verify: g.Verify, Budget: g.Budget, Strict: g.Strict, Faults: g.Faults,
@@ -178,13 +150,7 @@ func (g *CodeGenerator) CompileModuleCtx(ctx context.Context, mod *ir.Module) (*
 // Execute runs a compiled function on the timing simulator and returns
 // run statistics (cycle counts, result registers, block profile).
 func Execute(p *asm.Program, fn string, args ...sim.Value) (*sim.Stats, error) {
-	return ExecuteOpts(p, sim.Options{}, fn, args...)
-}
-
-// ExecuteOpts is Execute with simulator options (cache model, tracing).
-func ExecuteOpts(p *asm.Program, opts sim.Options, fn string, args ...sim.Value) (*sim.Stats, error) {
-	s := sim.New(p, opts)
-	return s.Run(fn, args...)
+	return sim.New(p, sim.Options{}).Run(fn, args...)
 }
 
 // Session couples a compiled program with a persistent simulator, so one

@@ -54,14 +54,14 @@ func TestParallelDeterminism(t *testing.T) {
 	for _, target := range targets.Names() {
 		for _, kind := range allKinds {
 			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
-				seq, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind, Workers: 1,
+				seq, err := driver.Compile(target, "par.c", parProg, driver.Config{
+					Strategy: kind, Workers: 1,
 				})
 				if err != nil {
 					t.Fatalf("workers=1: %v", err)
 				}
-				par, err := driver.Compile("par.c", parProg, driver.Config{
-					Target: target, Strategy: kind, Workers: 8,
+				par, err := driver.Compile(target, "par.c", parProg, driver.Config{
+					Strategy: kind, Workers: 8,
 				})
 				if err != nil {
 					t.Fatalf("workers=8: %v", err)
@@ -79,32 +79,39 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestSuiteParallelDeterminism repeats the check on a large module (all
 // Livermore kernels merged, 28 functions), where worker interleaving is
-// actually exercised.
+// actually exercised, on every target under every strategy. Each compile
+// lowers a fresh module, so the two runs share no state: any
+// order-dependence in the back end (a range over a map, say) shows up as
+// differing bytes.
 func TestSuiteParallelDeterminism(t *testing.T) {
-	compile := func(workers int) string {
-		mod, err := livermore.SuiteModule()
+	kinds := append([]strategy.Kind{}, allKinds...)
+	kinds = append(kinds, strategy.Safe)
+	for _, target := range targets.Names() {
+		m, err := targets.Load(target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := targets.Load("r2000")
-		if err != nil {
-			t.Fatal(err)
+		for _, kind := range kinds {
+			t.Run(fmt.Sprintf("%s/%s", target, kind), func(t *testing.T) {
+				compile := func(workers int) string {
+					mod, err := livermore.SuiteModule()
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := driver.CompileModule(m, mod, driver.Config{Strategy: kind, Workers: workers})
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
+					}
+					if len(c.Prog.Funcs) != len(mod.Funcs) {
+						t.Fatalf("workers=%d: %d functions compiled, want %d", workers, len(c.Prog.Funcs), len(mod.Funcs))
+					}
+					return c.Prog.Print()
+				}
+				if compile(1) != compile(4) {
+					t.Error("suite assembly differs between workers=1 and workers=4")
+				}
+			})
 		}
-		c, err := driver.CompileModule(m, mod, driver.Config{
-			Strategy: strategy.Postpass, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(c.Prog.Funcs) != len(mod.Funcs) {
-			t.Fatalf("workers=%d: %d functions compiled, want %d", workers, len(c.Prog.Funcs), len(mod.Funcs))
-		}
-		return c.Prog.Print()
-	}
-	seq := compile(1)
-	par := compile(8)
-	if seq != par {
-		t.Error("suite assembly differs between workers=1 and workers=8")
 	}
 }
 
@@ -166,8 +173,8 @@ func TestDiagnosticsReportAllFailures(t *testing.T) {
 // TestPhaseTimesPopulated checks the per-phase timing sink survives the
 // trip through the pool.
 func TestPhaseTimesPopulated(t *testing.T) {
-	c, err := driver.Compile("par.c", parProg, driver.Config{
-		Target: "r2000", Strategy: strategy.Postpass,
+	c, err := driver.Compile("r2000", "par.c", parProg, driver.Config{
+		Strategy: strategy.Postpass,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,14 +161,11 @@ func (bs *Breakers) Cancel(key string) {
 // whether this failure tripped the breaker open (a trip is the moment
 // to write a quarantine bundle). A failed half-open probe re-opens —
 // that also counts as a trip.
-func (bs *Breakers) Failure(key string) (tripped bool) {
-	return bs.FailureTraced(key, nil)
-}
-
-// FailureTraced is Failure with a trace span: a trip is recorded as a
-// "breaker.trip" event on sp (nil sp traces nothing), so the request
-// that tripped a key carries the moment in its own trace.
-func (bs *Breakers) FailureTraced(key string, sp *trace.Span) (tripped bool) {
+//
+// A trip is recorded as a "breaker.trip" event on sp (nil sp traces
+// nothing), so the request that tripped a key carries the moment in its
+// own trace.
+func (bs *Breakers) Failure(key string, sp *trace.Span) (tripped bool) {
 	now := bs.cfg.Clock()
 	bs.mu.Lock()
 	b := bs.m[key]

@@ -177,15 +177,11 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 // The context's deadline drives doomed-shedding: when the remaining
 // deadline is below the EWMA service estimate, queueing cannot help and
 // the request is shed as ShedDoomed.
-func (l *Limiter) Acquire(ctx context.Context) (release func(o Outcome), dec Decision) {
-	return l.AcquireTraced(ctx, nil)
-}
-
-// AcquireTraced is Acquire with a trace span: admission-path decisions
-// that are otherwise invisible to the caller — an up-front doomed shed,
-// a later in-queue eviction when the service estimate moves — are
-// recorded as events on sp (nil sp traces nothing).
-func (l *Limiter) AcquireTraced(ctx context.Context, sp *trace.Span) (release func(o Outcome), dec Decision) {
+//
+// Admission-path decisions that are otherwise invisible to the caller —
+// an up-front doomed shed, a later in-queue eviction when the service
+// estimate moves — are recorded as events on sp (nil sp traces nothing).
+func (l *Limiter) Acquire(ctx context.Context, sp *trace.Span) (release func(o Outcome), dec Decision) {
 	l.mu.Lock()
 	if l.inflight < l.limit && len(l.queue) == 0 {
 		l.inflight++

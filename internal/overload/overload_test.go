@@ -15,7 +15,7 @@ import (
 func TestLimiterAdmitAndQueue(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1})
 
-	rel, dec := l.Acquire(context.Background())
+	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != Admitted || rel == nil {
 		t.Fatalf("first acquire: %v", dec)
 	}
@@ -30,12 +30,12 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 	}
 	c := make(chan got)
 	go func() {
-		r, d := l.Acquire(context.Background())
+		r, d := l.Acquire(context.Background(), nil)
 		c <- got{r, d}
 	}()
 	waitFor(t, func() bool { return l.Queued() == 1 })
 
-	if _, dec := l.Acquire(context.Background()); dec != ShedFull {
+	if _, dec := l.Acquire(context.Background(), nil); dec != ShedFull {
 		t.Fatalf("over-queue acquire: %v, want ShedFull", dec)
 	}
 
@@ -52,14 +52,14 @@ func TestLimiterAdmitAndQueue(t *testing.T) {
 
 func TestLimiterDoomedShedUpFront(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 
 	// No estimate yet: a short deadline queues (and expires) rather than
 	// being guessed at.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, dec := l.Acquire(ctx); dec != Expired {
+	if _, dec := l.Acquire(ctx, nil); dec != Expired {
 		t.Fatalf("pre-estimate short deadline: %v, want Expired", dec)
 	}
 
@@ -69,7 +69,7 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, dec := l.Acquire(ctx2)
+	_, dec := l.Acquire(ctx2, nil)
 	if dec != ShedDoomed {
 		t.Fatalf("doomed acquire: %v, want ShedDoomed", dec)
 	}
@@ -83,7 +83,7 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.Acquire(ctx3)
+		_, d := l.Acquire(ctx3, nil)
 		done <- d
 	}()
 	waitFor(t, func() bool { return l.Queued() == 1 })
@@ -95,14 +95,14 @@ func TestLimiterDoomedShedUpFront(t *testing.T) {
 
 func TestLimiterSweepEvictsQueuedDoomed(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 
 	// Queue a waiter with a 100ms deadline while no estimate exists.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.Acquire(ctx)
+		_, d := l.Acquire(ctx, nil)
 		done <- d
 	}()
 	waitFor(t, func() bool { return l.Queued() == 1 })
@@ -123,7 +123,7 @@ func TestLimiterAIMD(t *testing.T) {
 
 	// Additive increase: one full round of in-SLO completions per +1.
 	fast := func() {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatalf("acquire: %v", dec)
 		}
@@ -144,14 +144,14 @@ func TestLimiterAIMD(t *testing.T) {
 
 	// Multiplicative decrease on an over-SLO sample: 4 -> 2 (x0.7,
 	// floored), never below Min; paced to one cut per SLO interval.
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	time.Sleep(2 * slo)
 	rel(Done)
 	if got := l.Limit(); got != 2 {
 		t.Fatalf("limit after over-SLO sample = %d, want 2", got)
 	}
 	// A second slow sample inside the pacing window must not cut again.
-	rel2, _ := l.Acquire(context.Background())
+	rel2, _ := l.Acquire(context.Background(), nil)
 	rel2(Breached)
 	if got := l.Limit(); got != 2 {
 		t.Fatalf("limit cut twice within one SLO interval: %d", got)
@@ -166,7 +166,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 8, MaxQueue: 4, SLO: slo})
 	l.Prime(5 * time.Second)
 	for i := 0; i < 50; i++ {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatalf("acquire %d: %v", i, dec)
 		}
@@ -186,7 +186,7 @@ func TestLimiterSkippedNoSample(t *testing.T) {
 func TestLimiterFixedWithoutSLO(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 3, MaxQueue: 1})
 	for i := 0; i < 10; i++ {
-		rel, dec := l.Acquire(context.Background())
+		rel, dec := l.Acquire(context.Background(), nil)
 		if dec != Admitted {
 			t.Fatal(dec)
 		}
@@ -219,11 +219,11 @@ func TestLimiterPressure(t *testing.T) {
 	if p := l.Pressure(); p != 0 {
 		t.Fatalf("idle pressure = %v", p)
 	}
-	r1, _ := l.Acquire(context.Background())
+	r1, _ := l.Acquire(context.Background(), nil)
 	if p := l.Pressure(); p != 0.25 {
 		t.Fatalf("half-busy pressure = %v, want 0.25", p)
 	}
-	r2, _ := l.Acquire(context.Background())
+	r2, _ := l.Acquire(context.Background(), nil)
 	if p := l.Pressure(); p != 0.5 {
 		t.Fatalf("all-slots-busy pressure = %v, want 0.5", p)
 	}
@@ -233,7 +233,7 @@ func TestLimiterPressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.Acquire(ctx)
+			l.Acquire(ctx, nil)
 		}()
 	}
 	waitFor(t, func() bool { return l.Queued() == 2 })
@@ -256,7 +256,7 @@ func TestLimiterConcurrency(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			rel, dec := l.Acquire(ctx)
+			rel, dec := l.Acquire(ctx, nil)
 			if dec == Admitted {
 				admitted.Store(i, true)
 				if l.Inflight() > l.Snapshot().MaxCap {
@@ -402,13 +402,13 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	if ok, probe := bs.Allow(key); !ok || probe {
 		t.Fatalf("fresh key Allow = %v, %v", ok, probe)
 	}
-	if bs.Failure(key) {
+	if bs.Failure(key, nil) {
 		t.Fatal("tripped below threshold")
 	}
 	if !bs.AtRisk(key) {
 		t.Error("one failure below threshold should be at-risk")
 	}
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("threshold failure did not trip")
 	}
 	if ok, _ := bs.Allow(key); ok {
@@ -428,7 +428,7 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// Probe fails: re-open (counts as a trip), fresh cooldown.
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("failed probe did not re-trip")
 	}
 	if ok, _ := bs.Allow(key); ok {
@@ -453,9 +453,9 @@ func TestBreakerTripRerouteProbeReset(t *testing.T) {
 	}
 
 	// Success resets a closed streak too.
-	bs.Failure(key)
+	bs.Failure(key, nil)
 	bs.Success(key)
-	bs.Failure(key)
+	bs.Failure(key, nil)
 	if st := bs.States()[key]; st != "closed(1 fails)" {
 		t.Fatalf("streak state = %q", st)
 	}
@@ -473,7 +473,7 @@ func TestBreakerCancelProbe(t *testing.T) {
 	bs := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
 	key := Key("r2000", "rase")
 
-	if !bs.Failure(key) {
+	if !bs.Failure(key, nil) {
 		t.Fatal("threshold-1 failure did not trip")
 	}
 	clk.advance(1100 * time.Millisecond)

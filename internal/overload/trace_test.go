@@ -25,16 +25,16 @@ func findEvent(tr *trace.Trace, name string) map[string]string {
 
 // An up-front doomed shed leaves an overload.evict event on the span,
 // carrying the estimate that doomed the request.
-func TestAcquireTracedDoomedEvent(t *testing.T) {
+func TestAcquireDoomedEvent(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 	defer rel(Done)
 	l.Prime(10 * time.Second)
 
 	root := trace.New("req", "compile")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, dec := l.AcquireTraced(ctx, root.Child("admission")); dec != ShedDoomed {
+	if _, dec := l.Acquire(ctx, root.Child("admission")); dec != ShedDoomed {
 		t.Fatalf("decision = %v, want ShedDoomed", dec)
 	}
 	attrs := findEvent(root.Finish("shed-doomed", 429), "overload.evict")
@@ -48,16 +48,16 @@ func TestAcquireTracedDoomedEvent(t *testing.T) {
 
 // A waiter evicted from the queue by the sweep gets the event too,
 // with the in-queue reason.
-func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
+func TestAcquireQueueEvictionEvent(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, _ := l.Acquire(context.Background())
+	rel, _ := l.Acquire(context.Background(), nil)
 
 	root := trace.New("req", "compile")
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	done := make(chan Decision, 1)
 	go func() {
-		_, d := l.AcquireTraced(ctx, root.Child("admission"))
+		_, d := l.Acquire(ctx, root.Child("admission"))
 		done <- d
 	}()
 	waitFor(t, func() bool { return l.Queued() == 1 })
@@ -72,11 +72,10 @@ func TestAcquireTracedQueueEvictionEvent(t *testing.T) {
 	}
 }
 
-// Acquire delegates to AcquireTraced with no span — same decisions, no
-// trace required.
+// A nil span is valid: same decisions, no trace required.
 func TestAcquireNilSpan(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 4})
-	rel, dec := l.AcquireTraced(context.Background(), nil)
+	rel, dec := l.Acquire(context.Background(), nil)
 	if dec != Admitted {
 		t.Fatalf("decision = %v, want Admitted", dec)
 	}
@@ -86,13 +85,13 @@ func TestAcquireNilSpan(t *testing.T) {
 // Breaker failures annotate the trace: a sub-threshold failure as
 // breaker.failure with the streak, the tripping failure as
 // breaker.trip.
-func TestFailureTracedEvents(t *testing.T) {
+func TestFailureEvents(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(3000, 0)}
 	bs := NewBreakers(BreakerConfig{Threshold: 2, Cooldown: time.Second, Clock: clk.now})
 	key := Key("r2000", "rase")
 
 	root := trace.New("req1", "compile")
-	if bs.FailureTraced(key, root) {
+	if bs.Failure(key, root) {
 		t.Fatal("tripped below threshold")
 	}
 	attrs := findEvent(root.Finish("failed", 422), "breaker.failure")
@@ -101,7 +100,7 @@ func TestFailureTracedEvents(t *testing.T) {
 	}
 
 	root2 := trace.New("req2", "compile")
-	if !bs.FailureTraced(key, root2) {
+	if !bs.Failure(key, root2) {
 		t.Fatal("threshold failure did not trip")
 	}
 	tr2 := root2.Finish("failed", 422)
@@ -114,7 +113,7 @@ func TestFailureTracedEvents(t *testing.T) {
 
 	// Nil span: same verdicts, no trace.
 	bs2 := NewBreakers(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.now})
-	if !bs2.FailureTraced(key, nil) {
+	if !bs2.Failure(key, nil) {
 		t.Fatal("nil-span failure did not trip")
 	}
 }

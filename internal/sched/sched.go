@@ -365,8 +365,8 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 						i, g.Nodes[i].Inst, predsLeft[i], earliest[i], g.Nodes[i].Inst.Tmpl.AffectsClock)
 				}
 			}
-			for k, grp := range pending {
-				for mem := range grp {
+			for _, k := range sortedKeys(pending) {
+				for _, mem := range sortedKeys(pending[k]) {
 					msg += fmt.Sprintf("  pending[clock %d] member [%d] %s scheduled=%v\n",
 						k, mem, g.Nodes[mem].Inst, scheduled[mem])
 				}
@@ -410,11 +410,14 @@ func Run(m *mach.Machine, af *asm.Func, b *asm.Block, g *cdag.Graph, opts Option
 		// may itself affect another clock (chaining sub-operations like
 		// the i860's a1m), so each member must also satisfy Rule 1; a
 		// fixpoint loop lets one group's placement unblock another.
-		// (Strict sequential mode places in thread order only.)
+		// (Strict sequential mode places in thread order only.) Groups
+		// are tried in clock order: placing one group changes what fits
+		// for the next, so map order would make the output vary.
 		groupProgress := !opts.Sequential
 		for groupProgress {
 			groupProgress = false
-			for k0, grp := range pending {
+			for _, k0 := range sortedKeys(pending) {
+				grp := pending[k0]
 				if len(grp) == 0 {
 					continue
 				}
@@ -640,4 +643,14 @@ func Estimate(m *mach.Machine, af *asm.Func, b *asm.Block, opts Options) (int, e
 		return 0, err
 	}
 	return res.Cost, nil
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }

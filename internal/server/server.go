@@ -273,7 +273,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.cache, s.warn = ch, warn
 
-	cfg.Registry.PublishExpvar("marion")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/compile", s.handleCompile)
@@ -626,11 +625,12 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started ti
 	// below the service estimate), or expire while queued.
 	queued := time.Now()
 	asp := root.Child("admission")
-	release, dec := s.lim.AcquireTraced(ctx, asp)
+	release, dec := s.lim.Acquire(ctx, asp)
 	asp.Attr("decision", dec.String())
 	asp.End()
-	st.queueMs = float64(time.Since(queued)) / float64(time.Millisecond)
-	s.queueSec.ObserveDuration(time.Since(queued))
+	wait := time.Since(queued)
+	st.queueMs = float64(wait) / float64(time.Millisecond)
+	s.queueSec.ObserveDuration(wait)
 	switch dec {
 	case overload.ShedFull:
 		st.outcome = "shed-full"
@@ -751,7 +751,7 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started ti
 	if s.breakers != nil {
 		switch {
 		case breakerRelevant(cerr):
-			if s.breakers.FailureTraced(bkey, root) {
+			if s.breakers.Failure(bkey, root) {
 				s.quarantine(&req, bkey, effective, dcfg, cerr)
 			}
 		case cacheOnly:
@@ -806,7 +806,7 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, started ti
 		Assembly:       res.Prog.Print(),
 		Stats:          res.Stats,
 		RetrySeconds:   res.RetryTime.Seconds(),
-		QueueMs:        float64(time.Since(queued).Milliseconds()),
+		QueueMs:        st.queueMs,
 		ElapsedMs:      float64(elapsed) / float64(time.Millisecond),
 		BrownoutLevel:  lvl,
 		Brownout:       notes,

@@ -15,6 +15,7 @@ import (
 
 	"marion/internal/driver"
 	"marion/internal/faults"
+	"marion/internal/iltext"
 	"marion/internal/metrics"
 	"marion/internal/overload"
 	"marion/internal/strategy"
@@ -97,7 +98,7 @@ func TestCompileMatchesDriver(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body.String())
 		}
 		resp := decode[CompileResponse](t, w)
-		want, err := driver.Compile("add.c", addC, driver.Config{Target: target, Strategy: strategy.Postpass})
+		want, err := driver.Compile(target, "add.c", addC, driver.Config{Strategy: strategy.Postpass})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestBadRequests(t *testing.T) {
 // deterministically.
 func occupySlot(t *testing.T, s *Server) func(overload.Outcome) {
 	t.Helper()
-	rel, dec := s.lim.Acquire(context.Background())
+	rel, dec := s.lim.Acquire(context.Background(), nil)
 	if dec != overload.Admitted {
 		t.Fatalf("could not occupy slot: %v", dec)
 	}
@@ -531,8 +532,12 @@ func TestBreakerTripRerouteReset(t *testing.T) {
 	if b.Key != "r2000/rase" || b.Strategy != "rase" || !strings.Contains(b.Reason, "injected") {
 		t.Fatalf("bundle = %+v", b)
 	}
-	if rep, err := driver.CompileIL("replay.il", il, driver.Config{
-		Target: b.Target, Strategy: strategy.RASE,
+	mod, err := iltext.Parse("replay.il", il)
+	if err != nil {
+		t.Fatalf("bundle IL: %v", err)
+	}
+	if rep, err := driver.CompileModule(s.machines[b.Target], mod, driver.Config{
+		Strategy: strategy.RASE,
 	}); err != nil || len(rep.Prog.Funcs) == 0 {
 		t.Fatalf("bundle does not replay: %v", err)
 	}

@@ -175,6 +175,33 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
+// The answer's queue_ms is the admission wait the access log records
+// for the same request — not the time until the answer was written,
+// which would also count lowering and compiling.
+func TestQueueMsMatchesAccessLog(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, Config{AccessLog: slog.New(slog.NewJSONHandler(&buf, nil))})
+	w := post(t, s, CompileRequest{Source: addC, Target: "r2000"},
+		map[string]string{RequestIDHeader: "queued-1"})
+	if w.Code != http.StatusOK {
+		t.Fatalf("compile: %d", w.Code)
+	}
+	resp := decode[CompileResponse](t, w)
+	var line struct {
+		ID      string  `json:"id"`
+		QueueMs float64 `json:"queue_ms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+		t.Fatalf("access line: %v: %s", err, buf.String())
+	}
+	if line.ID != resp.RequestID {
+		t.Fatalf("access line id %q, response id %q", line.ID, resp.RequestID)
+	}
+	if resp.QueueMs != line.QueueMs {
+		t.Errorf("response queue_ms = %v, access log queue_ms = %v", resp.QueueMs, line.QueueMs)
+	}
+}
+
 // GET /metrics must satisfy the same strict Prometheus parser the
 // smoke test uses.
 func TestMetricsEndpoint(t *testing.T) {
